@@ -26,7 +26,9 @@ const (
 	// within 1/2 of the exact optimum — the documented approximation bound
 	// pinned by TestGreedyVsExhaustiveDifferential — and is exact whenever
 	// at most one message fits (e.g. a width-1 budget). Provided for the
-	// scalability ablation; use Knapsack for exactness at scale.
+	// scalability ablation; use Knapsack for exactness at scale. It runs
+	// the CELF selector — same picks in the same order — so
+	// core.select.gain_evals reports the lazy evaluation count.
 	Greedy
 	// MaxCoverage greedily maximizes flow-specification coverage directly
 	// instead of information gain — the ablation behind §5.3: if gain is a

@@ -22,6 +22,15 @@ func (celfStrategy) Select(_ context.Context, e *Evaluator, cfg Config) (Candida
 	return best, nil, err
 }
 
+// greedyStrategy is density-greedy selection under its registry name. It
+// runs selectCELF: eager and lazy greedy take the same messages in the
+// same order, so the Candidate is byte-identical and only the evaluation
+// count (core.select.gain_evals) differs. The eager form survives as the
+// differential tests' oracle.
+type greedyStrategy struct{ celfStrategy }
+
+func (greedyStrategy) Name() string { return "greedy" }
+
 // celfEntry is one queued message with the gain density computed at some
 // (possibly stale) selection round.
 type celfEntry struct {
@@ -70,9 +79,10 @@ func (q *celfQueue) Pop() any {
 // greedy's one per still-fitting message — identical picks in the same
 // order (both always take the highest-density fitting message, ties to the
 // lowest universe index), so the selected Candidate is byte-identical to
-// selectGreedy's while evals is strictly smaller whenever any round after
+// eager greedy's while evals is strictly smaller whenever any round after
 // the first has two or more fitting messages left. The differential suite
-// pins both properties.
+// pins both properties against the eager form (selectGreedyCounted, kept
+// in the tests as the oracle).
 func selectCELF(e *Evaluator, budget int) (Candidate, int, error) {
 	n := len(e.universe)
 	q := make(celfQueue, 0, n)

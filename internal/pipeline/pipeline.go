@@ -12,17 +12,20 @@
 // instance set (flow structure + indices), so independently built but
 // structurally identical scenarios share the same Session.
 //
+// Every memo in the package — the Cache's sessions, the ResultStore's
+// memory tier, and each Session's selections and reconstructions — is one
+// mechanism (memo.go): an LRU map with a singleflight in front. A
+// Session's memos are bounded because their keys are client-chosen.
+//
 // The layer is observable: a Cache built with NewCacheObs records
 // pipeline.cache.* (hits, misses, evictions, size), pipeline.fingerprint_ns,
-// and pipeline.results.* into its registry, and threads the registry into
-// the interleave build and the core selectors so one snapshot covers the
-// whole analysis chain. A nil registry is a no-op (the obs contract).
+// pipeline.results.*, and pipeline.reconstruct.* into its registry, and
+// threads the registry into the interleave build and the core selectors so
+// one snapshot covers the whole analysis chain. A nil registry is a no-op (the obs contract).
 package pipeline
 
 import (
-	"container/list"
 	"context"
-	"sync"
 	"time"
 
 	"tracescale/internal/core"
@@ -33,33 +36,17 @@ import (
 )
 
 // Session is one scenario's analyzed selection pipeline: the interleaved
-// Product of its instance set, the Evaluator over it, and a memo of
-// selection Results per Config. A Session is safe for concurrent use;
-// Results it returns are shared between callers and must be treated as
-// read-only.
+// Product of its instance set, the Evaluator over it, and bounded memos of
+// selection and reconstruction Results. A Session is safe for concurrent
+// use; Results it returns are shared between callers and must be treated
+// as read-only.
 type Session struct {
-	fp  string
-	p   *interleave.Product
-	e   *core.Evaluator
-	obs *obs.Registry
+	fp string
+	p  *interleave.Product
+	e  *core.Evaluator
 
-	mu      sync.Mutex
-	results map[core.Config]*core.Result
-	flights map[core.Config]*flight
-	recons  map[reconKey]*reconstruct.Result
-}
-
-// flight is one in-progress selection shared by every concurrent caller
-// with the same normalized Config (singleflight). The computation runs on
-// its own goroutine under its own context; waiters that are cancelled
-// leave without stopping it, and the last waiter to leave cancels the
-// computation so no shard pool keeps burning for a request nobody wants.
-type flight struct {
-	done    chan struct{} // closed once res/err are set
-	res     *core.Result
-	err     error
-	waiters int // guarded by Session.mu
-	cancel  context.CancelFunc
+	results *memo[core.Config, *core.Result]
+	recons  *memo[reconKey, *reconstruct.Result]
 }
 
 // NewSession analyzes the instance set: it interleaves the instances and
@@ -103,13 +90,23 @@ func newSession(fp string, instances []flow.Instance, reg *obs.Registry) (*Sessi
 	}
 	reg.Counter("pipeline.session.builds").Inc()
 	return &Session{
-		fp:      fp,
-		p:       p,
-		e:       e,
-		obs:     reg,
-		results: make(map[core.Config]*core.Result),
-		flights: make(map[core.Config]*flight),
-		recons:  make(map[reconKey]*reconstruct.Result),
+		fp: fp,
+		p:  p,
+		e:  e,
+		results: newMemo[core.Config, *core.Result](sessionMemoCap, memoCounters{
+			hits:      reg.Counter("pipeline.results.hits"),
+			shared:    reg.Counter("pipeline.results.shared"),
+			misses:    reg.Counter("pipeline.results.misses"),
+			evictions: reg.Counter("pipeline.results.evictions"),
+			cancelled: reg.Counter("pipeline.results.flights_cancelled"),
+		}),
+		recons: newMemo[reconKey, *reconstruct.Result](sessionMemoCap, memoCounters{
+			hits:      reg.Counter("pipeline.reconstruct.hits"),
+			shared:    reg.Counter("pipeline.reconstruct.shared"),
+			misses:    reg.Counter("pipeline.reconstruct.misses"),
+			evictions: reg.Counter("pipeline.reconstruct.evictions"),
+			cancelled: reg.Counter("pipeline.reconstruct.flights_cancelled"),
+		}),
 	}, nil
 }
 
@@ -148,11 +145,11 @@ func (s *Session) Select(cfg core.Config) (*core.Result, error) {
 
 // SelectContext is Select with cancellation and singleflight: concurrent
 // callers with the same normalized Config share one computation instead of
-// duplicating it. The computation runs on its own goroutine, so a caller
-// whose ctx is cancelled returns promptly with ctx's error while remaining
-// waiters keep the flight alive; the last waiter to leave cancels the
-// underlying core.SelectContext, aborting its shard pool. Errors are not
-// memoized — a timed-out flight leaves no poison behind.
+// duplicating it. A caller whose ctx ends returns promptly with ctx's
+// error while the remaining waiters keep the computation alive; the last
+// waiter to leave cancels the underlying core.SelectContext, aborting its
+// shard pool. Errors are not memoized — a timed-out selection leaves no
+// poison behind.
 func (s *Session) SelectContext(ctx context.Context, cfg core.Config) (*core.Result, error) {
 	// Validate before the memo lookup: the key normalizes Workers away, so
 	// without this check a Config whose Workers count the method cannot
@@ -161,100 +158,17 @@ func (s *Session) SelectContext(ctx context.Context, cfg core.Config) (*core.Res
 	if err := core.ValidateConfig(cfg); err != nil {
 		return nil, err
 	}
-	key := memoKey(cfg)
-	s.mu.Lock()
-	if res, ok := s.results[key]; ok {
-		s.mu.Unlock()
-		s.obs.Counter("pipeline.results.hits").Inc()
-		return res, nil
-	}
-	if f, ok := s.flights[key]; ok {
-		f.waiters++
-		s.mu.Unlock()
-		s.obs.Counter("pipeline.results.shared").Inc()
-		return s.waitFlight(ctx, key, f)
-	}
-	// The flight must outlive any single waiter's ctx: it is shared by every
-	// concurrent caller, and waitFlight cancels it only when the last waiter
-	// leaves. Deriving it from this caller's ctx would cancel everyone's
-	// computation when the first caller times out.
-	//lint:ignore ctxflow singleflight computation detaches deliberately; the last departing waiter cancels it
-	fctx, cancel := context.WithCancel(context.Background())
-	f := &flight{done: make(chan struct{}), waiters: 1, cancel: cancel}
-	s.flights[key] = f
-	s.mu.Unlock()
-	s.obs.Counter("pipeline.results.misses").Inc()
-	go s.runFlight(fctx, key, cfg, f)
-	return s.waitFlight(ctx, key, f)
-}
-
-// runFlight computes one selection and publishes it to every waiter,
-// memoizing successes. It owns removing the flight from the map (unless
-// the last waiter already abandoned it) and always releases fctx.
-func (s *Session) runFlight(fctx context.Context, key core.Config, cfg core.Config, f *flight) {
-	res, err := core.SelectContext(fctx, s.e, cfg)
-	s.mu.Lock()
-	if err == nil {
-		if prior, ok := s.results[key]; ok {
-			res = prior // keep the first stored Result so callers share one
-		} else {
-			s.results[key] = res
-		}
-	}
-	if s.flights[key] == f {
-		delete(s.flights, key)
-	}
-	f.res, f.err = res, err
-	s.mu.Unlock()
-	f.cancel() // computation finished; release the flight context
-	close(f.done)
-}
-
-// waitFlight blocks until the flight completes or ctx is cancelled. The
-// context strictly wins: even when the flight finished in the same instant
-// (a starved waiter can wake to find both ready), an expired caller gets
-// ctx's error, never a result its deadline already disowned. A cancelled
-// waiter deregisters itself; the last one out cancels the computation and
-// retires the flight so the next caller starts fresh.
-func (s *Session) waitFlight(ctx context.Context, key core.Config, f *flight) (*core.Result, error) {
-	select {
-	case <-f.done:
-		if ctx.Err() == nil {
-			return f.res, f.err
-		}
-	case <-ctx.Done():
-	}
-	s.mu.Lock()
-	f.waiters--
-	last := f.waiters == 0
-	if last && s.flights[key] == f {
-		delete(s.flights, key)
-	}
-	s.mu.Unlock()
-	if last {
-		f.cancel() // idempotent; a no-op when the flight already finished
-		s.obs.Counter("pipeline.results.flights_cancelled").Inc()
-	}
-	return nil, ctx.Err()
+	return s.results.do(ctx, memoKey(cfg), func(fctx context.Context) (*core.Result, error) {
+		return core.SelectContext(fctx, s.e, cfg)
+	})
 }
 
 // Cache memoizes Sessions by instance-set fingerprint. A Cache built with
 // a capacity evicts the least-recently-used session once full; capacity
 // zero means unbounded (the Default cache's mode).
 type Cache struct {
-	mu        sync.Mutex
-	sessions  map[string]*list.Element
-	order     *list.List // front = least recently used
-	capacity  int
-	obs       *obs.Registry
-	hits      int
-	misses    int
-	evictions int
-}
-
-type cacheEntry struct {
-	fp string
-	s  *Session
+	obs      *obs.Registry
+	sessions *memo[string, *Session]
 }
 
 // NewCache returns an empty, unbounded, unobserved session cache.
@@ -265,65 +179,34 @@ func NewCache() *Cache { return NewCacheObs(nil, 0) }
 // (zero = unbounded), evicting least-recently-used sessions past that.
 func NewCacheObs(reg *obs.Registry, capacity int) *Cache {
 	return &Cache{
-		sessions: make(map[string]*list.Element),
-		order:    list.New(),
-		capacity: capacity,
-		obs:      reg,
+		obs: reg,
+		sessions: newMemo[string, *Session](capacity, memoCounters{
+			hits: reg.Counter("pipeline.cache.hits"),
+			// A lookup that joins an in-progress build is a hit too: it
+			// builds nothing.
+			shared:    reg.Counter("pipeline.cache.hits"),
+			misses:    reg.Counter("pipeline.cache.misses"),
+			evictions: reg.Counter("pipeline.cache.evictions"),
+			size:      reg.Gauge("pipeline.cache.size"),
+		}),
 	}
 }
 
 // Session returns the cached Session for the instance set, analyzing it on
-// first use. Construction holds the cache lock so concurrent requests for
-// the same scenario analyze it exactly once.
+// first use. Concurrent requests for the same scenario share one analysis;
+// requests for other scenarios proceed meanwhile.
 func (c *Cache) Session(instances []flow.Instance) (*Session, error) {
 	fp := fingerprint(instances, c.obs)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.sessions[fp]; ok {
-		c.hits++
-		c.obs.Counter("pipeline.cache.hits").Inc()
-		c.order.MoveToBack(el)
-		return el.Value.(*cacheEntry).s, nil
-	}
-	s, err := newSession(fp, instances, c.obs)
-	if err != nil {
-		return nil, err
-	}
-	c.misses++
-	c.obs.Counter("pipeline.cache.misses").Inc()
-	c.sessions[fp] = c.order.PushBack(&cacheEntry{fp: fp, s: s})
-	if c.capacity > 0 && c.order.Len() > c.capacity {
-		lru := c.order.Front()
-		c.order.Remove(lru)
-		delete(c.sessions, lru.Value.(*cacheEntry).fp)
-		c.evictions++
-		c.obs.Counter("pipeline.cache.evictions").Inc()
-	}
-	c.obs.Gauge("pipeline.cache.size").Set(int64(c.order.Len()))
-	return s, nil
+	return c.sessions.do(context.Background(), fp, func(context.Context) (*Session, error) {
+		return newSession(fp, instances, c.obs)
+	})
 }
 
 // Stats returns the cache's lifetime hit and miss counts.
-func (c *Cache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Evictions returns how many sessions the cache has evicted to stay
-// within its capacity (always zero for unbounded caches).
-func (c *Cache) Evictions() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
+func (c *Cache) Stats() (hits, misses int) { return c.sessions.stats() }
 
 // Len returns the number of cached sessions.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.sessions)
-}
+func (c *Cache) Len() int { return c.sessions.len() }
 
 // Default is the process-wide session cache the experiment harness, CLI
 // tools, and public facade share. It records into obs.Default, which the

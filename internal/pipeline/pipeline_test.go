@@ -12,6 +12,7 @@ import (
 	"tracescale/internal/core"
 	"tracescale/internal/flow"
 	"tracescale/internal/obs"
+	"tracescale/internal/reconstruct"
 	"tracescale/internal/synth"
 )
 
@@ -266,9 +267,9 @@ func TestSelectContextCancelledCallerReleasesFlight(t *testing.T) {
 	// Eventually no flight lingers (the goroutine may still be retiring).
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		s.mu.Lock()
-		n := len(s.flights)
-		s.mu.Unlock()
+		s.results.mu.Lock()
+		n := len(s.results.flights)
+		s.results.mu.Unlock()
 		if n == 0 {
 			break
 		}
@@ -330,5 +331,68 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		if results[i] != results[0] {
 			t.Fatal("concurrent callers got distinct memoized Results")
 		}
+	}
+}
+
+// TestSessionMemosStayBounded floods one Session with more distinct
+// widths and projections than its memos hold. Each memo stays at the
+// bound, counts its evictions, and evicts the least recently used entry:
+// the entry touched between the floods survives while older ones go.
+func TestSessionMemosStayBounded(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := NewSessionObs(ccInstances(2), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const extra = 3
+	selectAt := func(width int) *core.Result {
+		t.Helper()
+		res, err := s.Select(core.Config{BufferWidth: width, Method: core.Greedy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// MaxNodes is part of the memo key, so each value is a distinct entry.
+	reconstructWith := func(maxNodes int) *reconstruct.Result {
+		t.Helper()
+		res, err := s.Reconstruct(paperProjection(), reconstruct.Options{MaxNodes: maxNodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	keptSel, keptRec := selectAt(1), reconstructWith(1)
+	for k := 2; k <= sessionMemoCap; k++ {
+		selectAt(k)
+		reconstructWith(k)
+	}
+	if selectAt(1) != keptSel || reconstructWith(1) != keptRec {
+		t.Fatal("a full memo below its bound dropped an entry")
+	}
+	for k := sessionMemoCap + 1; k <= sessionMemoCap+extra; k++ {
+		selectAt(k)
+		reconstructWith(k)
+	}
+
+	if n := s.results.len(); n != sessionMemoCap {
+		t.Errorf("selection memo holds %d results, want the bound %d", n, sessionMemoCap)
+	}
+	if n := s.recons.len(); n != sessionMemoCap {
+		t.Errorf("reconstruction memo holds %d results, want the bound %d", n, sessionMemoCap)
+	}
+	snap := reg.Snapshot()
+	if snap["pipeline.results.evictions"] != extra || snap["pipeline.reconstruct.evictions"] != extra {
+		t.Errorf("evictions = %d results, %d reconstructions, want %d each",
+			snap["pipeline.results.evictions"], snap["pipeline.reconstruct.evictions"], extra)
+	}
+	if selectAt(1) != keptSel || reconstructWith(1) != keptRec {
+		t.Error("the entry touched between floods was evicted: the memo is not LRU")
+	}
+	misses := snap["pipeline.results.misses"]
+	selectAt(2) // the least recently used width: evicted, so recomputed
+	if got := reg.Snapshot()["pipeline.results.misses"]; got != misses+1 {
+		t.Errorf("width 2 answered from the memo after eviction (misses %d -> %d)", misses, got)
 	}
 }

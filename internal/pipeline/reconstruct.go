@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"sort"
 	"strings"
 
@@ -43,25 +44,13 @@ func reconKeyOf(pr reconstruct.Projection, opt reconstruct.Options) reconKey {
 // Errors are not memoized, so a malformed projection is re-validated (and
 // re-rejected) each time.
 func (s *Session) Reconstruct(pr reconstruct.Projection, opt reconstruct.Options) (*reconstruct.Result, error) {
-	key := reconKeyOf(pr, opt)
-	s.mu.Lock()
-	if res, ok := s.recons[key]; ok {
-		s.mu.Unlock()
-		s.obs.Counter("pipeline.reconstruct.hits").Inc()
-		return res, nil
-	}
-	s.mu.Unlock()
-	s.obs.Counter("pipeline.reconstruct.misses").Inc()
-	res, err := reconstruct.Reconstruct(s.p, pr, opt)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if prior, ok := s.recons[key]; ok {
-		res = prior // keep the first stored Result so callers share one
-	} else {
-		s.recons[key] = res
-	}
-	s.mu.Unlock()
-	return res, nil
+	return s.ReconstructContext(context.Background(), pr, opt)
+}
+
+// ReconstructContext is Reconstruct with cancellation and singleflight,
+// with the same sharing and cancellation rules as SelectContext.
+func (s *Session) ReconstructContext(ctx context.Context, pr reconstruct.Projection, opt reconstruct.Options) (*reconstruct.Result, error) {
+	return s.recons.do(ctx, reconKeyOf(pr, opt), func(fctx context.Context) (*reconstruct.Result, error) {
+		return reconstruct.Reconstruct(fctx, s.p, pr, opt)
+	})
 }

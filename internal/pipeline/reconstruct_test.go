@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"tracescale/internal/flow"
@@ -104,5 +106,44 @@ func TestSessionReconstructErrorNotMemoized(t *testing.T) {
 			!strings.Contains(err.Error(), "NoSuchMsg") {
 			t.Fatalf("call %d: err = %v, want the unknown-message rejection", i, err)
 		}
+	}
+}
+
+// TestReconstructSingleflightSharesOneCompute: concurrent identical
+// reconstructions share one computation — one miss, the rest hit or join
+// the flight — and every caller gets the same Result pointer.
+func TestReconstructSingleflightSharesOneCompute(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := NewSessionObs(ccInstances(2), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	var wg sync.WaitGroup
+	results := make([]*reconstruct.Result, callers)
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := s.ReconstructContext(context.Background(), paperProjection(), reconstruct.Options{MaxWitnesses: 4})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[i] = res
+		}()
+	}
+	wg.Wait()
+	for i := 1; i < callers; i++ {
+		if results[i] != results[0] {
+			t.Fatal("concurrent identical reconstructions returned distinct Results")
+		}
+	}
+	snap := reg.Snapshot()
+	if snap["pipeline.reconstruct.misses"] != 1 {
+		t.Errorf("misses = %d, want exactly 1 (singleflight)", snap["pipeline.reconstruct.misses"])
+	}
+	if got := snap["pipeline.reconstruct.hits"] + snap["pipeline.reconstruct.shared"]; got != callers-1 {
+		t.Errorf("hits+shared = %d, want %d", got, callers-1)
 	}
 }

@@ -1,14 +1,12 @@
 package pipeline
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"tracescale/internal/core"
 	"tracescale/internal/flow"
@@ -42,17 +40,9 @@ func StoreKey(fingerprint string, cfg core.Config) string {
 // pipeline.store.evictions, pipeline.store.spill_writes,
 // pipeline.store.disk_errors, and the pipeline.store.size gauge.
 type ResultStore struct {
-	mu       sync.Mutex
-	entries  map[string]*list.Element
-	order    *list.List // front = least recently used
-	capacity int
-	dir      string
-	reg      *obs.Registry
-}
-
-type storeEntry struct {
-	key string
-	res *core.Result
+	mem *memo[string, *core.Result]
+	dir string
+	reg *obs.Registry
 }
 
 // NewResultStore returns a store holding at most capacity results in
@@ -68,11 +58,13 @@ func NewResultStore(reg *obs.Registry, capacity int, dir string) (*ResultStore, 
 		}
 	}
 	return &ResultStore{
-		entries:  make(map[string]*list.Element),
-		order:    list.New(),
-		capacity: capacity,
-		dir:      dir,
-		reg:      reg,
+		mem: newMemo[string, *core.Result](capacity, memoCounters{
+			hits:      reg.Counter("pipeline.store.hits"),
+			evictions: reg.Counter("pipeline.store.evictions"),
+			size:      reg.Gauge("pipeline.store.size"),
+		}),
+		dir: dir,
+		reg: reg,
 	}, nil
 }
 
@@ -83,18 +75,13 @@ func (s *ResultStore) Get(key string) (*core.Result, bool) {
 	if s == nil {
 		return nil, false
 	}
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.order.MoveToBack(el)
-		s.mu.Unlock()
-		s.reg.Counter("pipeline.store.hits").Inc()
-		return el.Value.(*storeEntry).res, true
+	if res, ok := s.mem.get(key); ok {
+		return res, true
 	}
-	s.mu.Unlock()
 	if s.dir != "" {
 		if res, ok := s.load(key); ok {
 			s.reg.Counter("pipeline.store.disk_hits").Inc()
-			s.put(key, res, false)
+			res, _ = s.mem.add(key, res)
 			return res, true
 		}
 	}
@@ -112,27 +99,7 @@ func (s *ResultStore) Put(key string, res *core.Result) {
 	if s == nil {
 		return
 	}
-	s.put(key, res, s.dir != "")
-}
-
-func (s *ResultStore) put(key string, res *core.Result, spill bool) {
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.order.MoveToBack(el)
-		s.mu.Unlock()
-		return
-	}
-	s.entries[key] = s.order.PushBack(&storeEntry{key: key, res: res})
-	if s.capacity > 0 && s.order.Len() > s.capacity {
-		lru := s.order.Front()
-		s.order.Remove(lru)
-		delete(s.entries, lru.Value.(*storeEntry).key)
-		s.reg.Counter("pipeline.store.evictions").Inc()
-	}
-	size := s.order.Len()
-	s.mu.Unlock()
-	s.reg.Gauge("pipeline.store.size").Set(int64(size))
-	if spill {
+	if _, stored := s.mem.add(key, res); stored && s.dir != "" {
 		s.spill(key, res)
 	}
 }
@@ -142,9 +109,7 @@ func (s *ResultStore) Len() int {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.order.Len()
+	return s.mem.len()
 }
 
 func (s *ResultStore) path(key string) string {

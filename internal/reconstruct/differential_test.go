@@ -1,6 +1,7 @@
 package reconstruct
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"strings"
@@ -78,7 +79,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 				proj = proj[:rng.Intn(len(proj))]
 			}
 			for _, mode := range []interleave.MatchMode{interleave.Prefix, interleave.Exact} {
-				res, err := Reconstruct(p, Projection{Traced: traced, Observed: proj},
+				res, err := Reconstruct(context.Background(), p, Projection{Traced: traced, Observed: proj},
 					Options{Match: mode})
 				if err != nil {
 					t.Fatalf("seed %d trial %d: %v", seed, trial, err)
@@ -111,12 +112,12 @@ func TestBeamBoundsExact(t *testing.T) {
 		}
 		truth := p.RandomExecution(rng).Trace(p)
 		pr := Projection{Traced: traced, Observed: interleave.ProjectTrace(truth, tracedSet(traced))}
-		exact, err := Reconstruct(p, pr, Options{})
+		exact, err := Reconstruct(context.Background(), p, pr, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, width := range []int{1, 2, 4, len(pr.Observed) + 1} {
-			beam, err := Reconstruct(p, pr, Options{Mode: Beam, BeamWidth: width})
+			beam, err := Reconstruct(context.Background(), p, pr, Options{Mode: Beam, BeamWidth: width})
 			if err != nil {
 				t.Fatalf("seed %d width %d: %v", seed, width, err)
 			}
@@ -158,7 +159,7 @@ func TestBeamDeterminism(t *testing.T) {
 	}
 	var first *Result
 	for i := 0; i < 5; i++ {
-		res, err := Reconstruct(p, pr, Options{Mode: Beam, BeamWidth: 1})
+		res, err := Reconstruct(context.Background(), p, pr, Options{Mode: Beam, BeamWidth: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,6 +190,9 @@ func FuzzProjection(f *testing.F) {
 	f.Add("ReqE", "1:Ack", uint8(2))       // observed but untraced: reject
 	f.Add("", "", uint8(3))
 	f.Add("Ack", "-1:Ack", uint8(0))
+	// Five observed messages where every execution traces at most four:
+	// reject before counting.
+	f.Add("ReqE,GntE", "1:ReqE,1:GntE,2:ReqE,2:GntE,1:ReqE", uint8(0))
 
 	fl := flow.CacheCoherence()
 	p, err := interleave.New([]flow.Instance{{Flow: fl, Index: 1}, {Flow: fl, Index: 2}})
@@ -223,11 +227,11 @@ func FuzzProjection(f *testing.F) {
 		if knob&4 != 0 {
 			opt.MaxWitnesses = int(knob)
 		}
-		res, err := Reconstruct(p, pr, opt)
+		res, err := Reconstruct(context.Background(), p, pr, opt)
 		if err != nil {
 			return // rejected: the boundary held
 		}
-		beam, berr := Reconstruct(p, pr, Options{
+		beam, berr := Reconstruct(context.Background(), p, pr, Options{
 			Match:     opt.Match,
 			Mode:      Beam,
 			BeamWidth: 1 + int(knob%4),

@@ -23,6 +23,8 @@
 package reconstruct
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"sort"
@@ -41,10 +43,17 @@ type Projection struct {
 	Observed []flow.IndexedMsg
 }
 
+// ErrObservationTooLong marks a projection that observes more traced
+// messages than any execution of the product carries. No execution is
+// consistent with it, and counting would still size a memo by its length.
+var ErrObservationTooLong = errors.New("reconstruct: observation is longer than any execution's traced projection")
+
 // Validate checks the projection against the product it claims to observe
 // and returns the traced set: every traced name must label some product
-// edge and appear at most once, and every observed message must be traced
-// and actually occur (its instance tag in range) in the product.
+// edge and appear at most once, every observed message must be traced and
+// actually occur (its instance tag in range) in the product, and the
+// observation must be no longer than the most traced messages on any
+// product path (ErrObservationTooLong).
 func (pr Projection) Validate(p *interleave.Product) (map[string]bool, error) {
 	knownName := make(map[string]bool)
 	knownMsg := make(map[flow.IndexedMsg]bool)
@@ -73,7 +82,42 @@ func (pr Projection) Validate(p *interleave.Product) (map[string]bool, error) {
 			return nil, fmt.Errorf("reconstruct: observed message %s does not occur in the flow (instance tag out of range)", m)
 		}
 	}
+	if len(pr.Observed) > 0 {
+		most, err := maxTraced(p, traced)
+		if err != nil {
+			return nil, err
+		}
+		if len(pr.Observed) > most {
+			return nil, fmt.Errorf("%w (%d observed, at most %d traced)", ErrObservationTooLong, len(pr.Observed), most)
+		}
+	}
 	return traced, nil
+}
+
+// maxTraced returns the most traced messages on any product path from an
+// initial state: a longest-path count over the DAG that weighs traced
+// edges one and untraced edges zero.
+func maxTraced(p *interleave.Product, traced map[string]bool) (int, error) {
+	order, err := topoOrder(p)
+	if err != nil {
+		return 0, err
+	}
+	longest := make([]int, p.NumStates())
+	for i := len(order) - 1; i >= 0; i-- {
+		u := order[i]
+		for _, e := range p.Out(u) {
+			n := longest[e.To]
+			if traced[p.Msg(e).Name] {
+				n++
+			}
+			longest[u] = max(longest[u], n)
+		}
+	}
+	most := 0
+	for _, s := range p.Init() {
+		most = max(most, longest[s])
+	}
+	return most, nil
 }
 
 // Mode selects the reconstruction algorithm.
@@ -134,6 +178,24 @@ func MatchName(m interleave.MatchMode) string {
 // defaultMaxNodes bounds witness-enumeration work when the caller sets no
 // explicit budget.
 const defaultMaxNodes = 1 << 20
+
+// pollEvery is how many loop steps the engine takes between context
+// checks: often enough to stop within microseconds, rarely enough that the
+// check costs nothing measurable.
+const pollEvery = 1 << 10
+
+// poller checks a context every pollEvery steps.
+type poller struct {
+	ctx   context.Context
+	steps int
+}
+
+func (pl *poller) err() error {
+	if pl.steps++; pl.steps%pollEvery != 0 {
+		return nil
+	}
+	return pl.ctx.Err()
+}
 
 // Options configures a reconstruction. The zero value is exact-mode
 // counting with prefix match semantics and no witness enumeration.
@@ -201,7 +263,9 @@ type Result struct {
 
 // Reconstruct runs the engine: validate the projection, then count (and
 // in exact mode optionally enumerate) the executions consistent with it.
-func Reconstruct(p *interleave.Product, pr Projection, opt Options) (*Result, error) {
+// The engine's loops poll ctx, so a cancelled or expired ctx stops the
+// work and returns ctx's error.
+func Reconstruct(ctx context.Context, p *interleave.Product, pr Projection, opt Options) (*Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -209,14 +273,15 @@ func Reconstruct(p *interleave.Product, pr Projection, opt Options) (*Result, er
 	if err != nil {
 		return nil, err
 	}
+	pl := &poller{ctx: ctx}
 	if opt.Mode == Beam {
-		return beamReconstruct(p, traced, pr.Observed, opt)
+		return beamReconstruct(pl, p, traced, pr.Observed, opt)
 	}
-	return exactReconstruct(p, traced, pr.Observed, opt)
+	return exactReconstruct(pl, p, traced, pr.Observed, opt)
 }
 
 // exactReconstruct is the DP count plus bound-pruned witness DFS.
-func exactReconstruct(p *interleave.Product, traced map[string]bool, observed []flow.IndexedMsg, opt Options) (*Result, error) {
+func exactReconstruct(pl *poller, p *interleave.Product, traced map[string]bool, observed []flow.IndexedMsg, opt Options) (*Result, error) {
 	ctr, err := p.NewCounter(traced, observed, opt.Match)
 	if err != nil {
 		return nil, err
@@ -243,6 +308,9 @@ func exactReconstruct(p *interleave.Product, traced map[string]bool, observed []
 		push(node{s, 0})
 	}
 	for len(stack) > 0 {
+		if err := pl.err(); err != nil {
+			return nil, err
+		}
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, e := range p.Out(n.u) {
@@ -254,6 +322,9 @@ func exactReconstruct(p *interleave.Product, traced map[string]bool, observed []
 	res.Survivors = make([]int, k+1)
 	for j := 0; j <= k; j++ {
 		for u := 0; u < p.NumStates(); u++ {
+			if err := pl.err(); err != nil {
+				return nil, err
+			}
 			if reach[j][u>>6]&(1<<(uint(u)&63)) != 0 && ctr.From(u, j).Sign() > 0 {
 				res.Survivors[j]++
 			}
@@ -261,7 +332,9 @@ func exactReconstruct(p *interleave.Product, traced map[string]bool, observed []
 	}
 
 	if opt.MaxWitnesses > 0 {
-		enumerateWitnesses(p, ctr, opt, res)
+		if err := enumerateWitnesses(pl, p, ctr, opt, res); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }
@@ -269,8 +342,9 @@ func exactReconstruct(p *interleave.Product, traced map[string]bool, observed []
 // enumerateWitnesses walks the lattice depth-first, taking only steps
 // whose successor still has a positive consistent-completion count (the
 // branch-and-bound prune: a zero bound means the subtree holds no
-// witness). It stops at MaxWitnesses traces or the node budget.
-func enumerateWitnesses(p *interleave.Product, ctr *interleave.Counter, opt Options, res *Result) {
+// witness). It stops at MaxWitnesses traces or the node budget, or with
+// the poller's error.
+func enumerateWitnesses(pl *poller, p *interleave.Product, ctr *interleave.Counter, opt Options, res *Result) error {
 	maxNodes := opt.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = defaultMaxNodes
@@ -281,10 +355,14 @@ func enumerateWitnesses(p *interleave.Product, ctr *interleave.Counter, opt Opti
 		isStop[s] = true
 	}
 	var trace []flow.IndexedMsg
+	var err error
 	var walk func(u, j int) bool
 	walk = func(u, j int) bool {
 		res.Nodes++
 		if res.Nodes > maxNodes {
+			return false
+		}
+		if err = pl.err(); err != nil {
 			return false
 		}
 		if isStop[u] && j == k {
@@ -317,9 +395,10 @@ func enumerateWitnesses(p *interleave.Product, ctr *interleave.Counter, opt Opti
 			continue
 		}
 		if !walk(s, 0) {
-			return
+			break
 		}
 	}
+	return err
 }
 
 // beamCell is one live (matched-count, prefix-count) entry at a state.
@@ -333,7 +412,7 @@ type beamCell struct {
 // prefix counts; ties prefer fewer matched messages, the cells with the
 // most completion freedom ahead of them). The resulting count is a lower
 // bound — pruning a cell only ever discards consistent prefixes.
-func beamReconstruct(p *interleave.Product, traced map[string]bool, observed []flow.IndexedMsg, opt Options) (*Result, error) {
+func beamReconstruct(pl *poller, p *interleave.Product, traced map[string]bool, observed []flow.IndexedMsg, opt Options) (*Result, error) {
 	k := len(observed)
 	step := func(m flow.IndexedMsg, j int) (int, bool) {
 		switch {
@@ -377,6 +456,9 @@ func beamReconstruct(p *interleave.Product, traced map[string]bool, observed []f
 		}
 	}
 	for _, u := range order {
+		if err := pl.err(); err != nil {
+			return nil, err
+		}
 		if cells[u] == nil {
 			continue
 		}

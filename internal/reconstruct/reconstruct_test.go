@@ -1,6 +1,8 @@
 package reconstruct
 
 import (
+	"context"
+	"errors"
 	"math/big"
 	"math/rand"
 	"sort"
@@ -100,11 +102,11 @@ func TestOptionsValidate(t *testing.T) {
 		{MaxNodes: -1},
 	}
 	for _, opt := range bad {
-		if _, err := Reconstruct(p, pr, opt); err == nil {
+		if _, err := Reconstruct(context.Background(), p, pr, opt); err == nil {
 			t.Errorf("Reconstruct accepted invalid options %+v", opt)
 		}
 	}
-	if _, err := Reconstruct(p, pr, Options{}); err != nil {
+	if _, err := Reconstruct(context.Background(), p, pr, Options{}); err != nil {
 		t.Errorf("zero Options should be valid: %v", err)
 	}
 }
@@ -134,7 +136,7 @@ func TestPaperObservationReconstruction(t *testing.T) {
 			{Name: "ReqE", Index: 2},
 		},
 	}
-	res, err := Reconstruct(p, pr, Options{MaxWitnesses: 16})
+	res, err := Reconstruct(context.Background(), p, pr, Options{MaxWitnesses: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestGroundTruthMembership(t *testing.T) {
 				Traced:   traced,
 				Observed: interleave.ProjectTrace(truth, tracedSet(traced)),
 			}
-			res, err := Reconstruct(p, pr, Options{MaxWitnesses: 1 << 16})
+			res, err := Reconstruct(context.Background(), p, pr, Options{MaxWitnesses: 1 << 16})
 			if err != nil {
 				t.Fatalf("messages %d seed %d: %v", messages, seed, err)
 			}
@@ -221,7 +223,7 @@ func TestGroundTruthMembership(t *testing.T) {
 				Traced:   names,
 				Observed: interleave.ProjectTrace(truth, tracedSet(names)),
 			}
-			fres, err := Reconstruct(p, full, Options{})
+			fres, err := Reconstruct(context.Background(), p, full, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +238,7 @@ func TestGroundTruthMembership(t *testing.T) {
 func TestWitnessCapAndNodeBudget(t *testing.T) {
 	p := paperProduct(t)
 	pr := Projection{Traced: []string{"ReqE"}} // nothing observed: all 6 paths consistent
-	res, err := Reconstruct(p, pr, Options{MaxWitnesses: 2})
+	res, err := Reconstruct(context.Background(), p, pr, Options{MaxWitnesses: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +248,7 @@ func TestWitnessCapAndNodeBudget(t *testing.T) {
 	if res.Ambiguity.Cmp(big.NewInt(6)) != 0 {
 		t.Errorf("Ambiguity = %v, want 6 (the cap truncates witnesses, never the count)", res.Ambiguity)
 	}
-	res, err = Reconstruct(p, pr, Options{MaxWitnesses: 100, MaxNodes: 3})
+	res, err = Reconstruct(context.Background(), p, pr, Options{MaxWitnesses: 100, MaxNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,5 +363,80 @@ func TestPairCountStateLimit(t *testing.T) {
 	}
 	if _, err := PairCount(p, map[string]bool{}); err == nil {
 		t.Error("PairCount should refuse products beyond MaxAmbiguityStates")
+	}
+}
+
+// TestObservationLongerThanAnyExecutionRejected: two toy instances carry
+// at most four ReqE/GntE messages on any execution, so a fifth observed
+// message is rejected before any counting, and four are accepted.
+func TestObservationLongerThanAnyExecutionRejected(t *testing.T) {
+	p := paperProduct(t)
+	observe := func(n int) Projection {
+		pr := Projection{Traced: []string{"ReqE", "GntE"}}
+		for i := 0; i < n; i++ {
+			pr.Observed = append(pr.Observed, flow.IndexedMsg{Name: "ReqE", Index: 1})
+		}
+		return pr
+	}
+	if _, err := observe(4).Validate(p); err != nil {
+		t.Fatalf("observation at the bound rejected: %v", err)
+	}
+	for _, n := range []int{5, 10000} {
+		if _, err := observe(n).Validate(p); !errors.Is(err, ErrObservationTooLong) {
+			t.Errorf("%d observed: err = %v, want ErrObservationTooLong", n, err)
+		}
+	}
+}
+
+// pollCtx is a context whose Err reports cancellation from its cancelAt-th
+// call on (never, when cancelAt is zero), counting calls in polls — a
+// deterministic stand-in for a deadline that expires mid-computation.
+type pollCtx struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.cancelAt > 0 && c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestReconstructCancelledDuringWitnessEnumeration: the witness DFS polls
+// the context, so a cancellation that arrives after counting finished
+// stops enumeration with the context's error instead of a Result. The
+// beam engine's state loop polls too.
+func TestReconstructCancelledDuringWitnessEnumeration(t *testing.T) {
+	f := flow.CacheCoherence()
+	var insts []flow.Instance
+	for i := 1; i <= 6; i++ { // past pollEvery states
+		insts = append(insts, flow.Instance{Flow: f, Index: i})
+	}
+	p, err := interleave.New(insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := Projection{Traced: []string{"ReqE"}}
+	counting := &pollCtx{Context: context.Background()}
+	if _, err := Reconstruct(counting, p, pr, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	enumerate := Options{MaxWitnesses: 1 << 20, MaxNodes: 1 << 14}
+	enumerating := &pollCtx{Context: context.Background()}
+	if _, err := Reconstruct(enumerating, p, pr, enumerate); err != nil {
+		t.Fatal(err)
+	}
+	if enumerating.polls <= counting.polls {
+		t.Fatalf("enumeration polled %d times, counting alone %d: the DFS never polls", enumerating.polls, counting.polls)
+	}
+	cancelled := &pollCtx{Context: context.Background(), cancelAt: counting.polls + 1}
+	if res, err := Reconstruct(cancelled, p, pr, enumerate); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled mid-enumeration: result %v, err %v, want context.Canceled", res, err)
+	}
+	beam := &pollCtx{Context: context.Background(), cancelAt: 1}
+	if _, err := Reconstruct(beam, p, pr, Options{Mode: Beam, BeamWidth: 2}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled beam: err %v, want context.Canceled", err)
 	}
 }

@@ -145,34 +145,23 @@ func (h *Handler) handleReconstruct(w http.ResponseWriter, r *http.Request) {
 		h.fail(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	// Session.Reconstruct is not context-aware (the DP is one memoized
-	// sweep, not a shard scan), so the deadline is enforced around it: a
-	// timed-out request gets its 504 while the computation runs to
-	// completion in the background and lands in the memo for the retry.
-	type outcome struct {
-		res *reconstruct.Result
-		err error
-	}
-	done := make(chan outcome, 1)
 	start := time.Now()
-	go func() {
-		res, err := ses.Reconstruct(pr, opt)
-		done <- outcome{res, err}
-	}()
-	var out outcome
-	select {
-	case out = <-done:
-	case <-ctx.Done():
-		out.err = ctx.Err()
-	}
+	res, err := ses.ReconstructContext(ctx, pr, opt)
 	h.reg.Add("serve.reconstruct_ns", time.Since(start).Nanoseconds())
-	if out.err != nil {
-		h.failSelect(w, out.err)
+	if err != nil {
+		if errors.Is(err, reconstruct.ErrObservationTooLong) {
+			h.fail(w, http.StatusBadRequest, err)
+			return
+		}
+		if ctx.Err() != nil {
+			h.reg.Counter("serve.reconstruct.cancelled").Inc()
+		}
+		h.failSelect(w, err)
 		return
 	}
 
 	h.reg.Counter("serve.ok").Inc()
-	writeJSON(w, http.StatusOK, buildReconstructResponse(req.Name, opt, ses.Product().TotalPaths(), out.res))
+	writeJSON(w, http.StatusOK, buildReconstructResponse(req.Name, opt, ses.Product().TotalPaths(), res))
 }
 
 func buildReconstructResponse(scenario string, opt reconstruct.Options, total fmt.Stringer, res *reconstruct.Result) *ReconstructResponse {

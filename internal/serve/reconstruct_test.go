@@ -9,7 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"tracescale/internal/flow"
 	"tracescale/internal/obs"
+	"tracescale/internal/pipeline"
+	"tracescale/internal/spec"
 )
 
 // paperObservation is the /reconstruct knobs for the paper's walkthrough:
@@ -163,12 +166,75 @@ func TestReconstructMemoAcrossRequests(t *testing.T) {
 }
 
 // TestReconstructTimeoutReturns504: an expired server-side deadline maps
-// to 504 even though the engine itself is not context-aware.
+// to 504; the engine runs under the request's context, so an expired one
+// ends the computation instead of leaving it running in the background.
 func TestReconstructTimeoutReturns504(t *testing.T) {
 	h := NewHandler(Config{Registry: obs.NewRegistry(), RequestTimeout: time.Nanosecond})
 	rec := postReconstruct(t, h, toyBody(t, paperObservation()))
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Errorf("status = %d, want 504 (body %s)", rec.Code, rec.Body)
+	}
+}
+
+// TestReconstructDeadlineCancelsEnumeration: a deadline that expires
+// while the engine enumerates witnesses answers 504 and cancels the
+// computation itself, so nothing lands in the memo and the identical
+// retry misses it instead of being answered from an abandoned run.
+func TestReconstructDeadlineCancelsEnumeration(t *testing.T) {
+	reg := obs.NewRegistry()
+	cache := pipeline.NewCacheObs(reg, 0)
+	// Six toy instances: counting takes about a millisecond, enumerating
+	// the 193k consistent executions a few hundred.
+	f := flow.CacheCoherence()
+	var insts []flow.Instance
+	for i := 1; i <= 6; i++ {
+		insts = append(insts, flow.Instance{Flow: f, Index: i})
+	}
+	if _, err := cache.Session(insts); err != nil { // the deadline covers only the engine
+		t.Fatal(err)
+	}
+	h := NewHandler(Config{Registry: reg, Cache: cache, RequestTimeout: 50 * time.Millisecond})
+	body := merge(t, spec.FromFlows("toy-6", []*flow.Flow{f}, insts, 2), map[string]any{
+		"traced":       []string{"ReqE"},
+		"observed":     []map[string]any{{"name": "ReqE", "index": 1}},
+		"maxWitnesses": 1 << 20,
+	})
+
+	if rec := postReconstruct(t, h, body); rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504 (body %.200s)", rec.Code, rec.Body)
+	}
+	snap := reg.Snapshot()
+	if snap["pipeline.reconstruct.flights_cancelled"] != 1 || snap["serve.reconstruct.cancelled"] != 1 {
+		t.Errorf("flights_cancelled = %d, serve.reconstruct.cancelled = %d, want 1 and 1",
+			snap["pipeline.reconstruct.flights_cancelled"], snap["serve.reconstruct.cancelled"])
+	}
+	postReconstruct(t, h, body)
+	snap = reg.Snapshot()
+	if snap["pipeline.reconstruct.misses"] != 2 || snap["pipeline.reconstruct.hits"] != 0 {
+		t.Errorf("retry: misses = %d, hits = %d, want 2 and 0 (the cancelled run stored nothing)",
+			snap["pipeline.reconstruct.misses"], snap["pipeline.reconstruct.hits"])
+	}
+}
+
+// TestReconstructObservationLongerThanAnyExecution: two toy instances
+// carry at most four traced messages per execution, so 10 000 observed
+// messages are a 400 before the engine sizes anything by them.
+func TestReconstructObservationLongerThanAnyExecution(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := NewHandler(Config{Registry: reg})
+	observed := make([]map[string]any, 10000)
+	for i := range observed {
+		observed[i] = map[string]any{"name": "ReqE", "index": 1}
+	}
+	rec := postReconstruct(t, h, toyBody(t, map[string]any{
+		"traced":   []string{"ReqE", "GntE"},
+		"observed": observed,
+	}))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (body %.200s)", rec.Code, rec.Body)
+	}
+	if !strings.Contains(rec.Body.String(), "longer than any execution") {
+		t.Errorf("body %s does not name the bound", rec.Body)
 	}
 }
 

@@ -18,8 +18,8 @@
 //     underlying core.SelectContext shard scan (visible as
 //     core.select.cancelled in /metrics), and a timeout maps to 504.
 //   - Graceful shutdown is the caller's: http.Server.Shutdown drains
-//     in-flight handlers, and because every selection hangs off a request
-//     context, nothing outlives the drain.
+//     in-flight handlers, and because every selection and reconstruction
+//     hangs off a request context, nothing outlives the drain.
 //
 // Selections are answered store-first: a content-addressed ResultStore
 // (keyed by instance fingerprint + normalized config) is consulted before
@@ -35,7 +35,11 @@
 // (exact, or a beam-bounded lower bound), the per-step survivor profile,
 // and optionally explicit witness executions. Reconstructions memoize in
 // the scenario's pipeline Session, so repeated observations are answered
-// from cache.
+// from cache and concurrent identical ones share one computation. The
+// engine runs under the request context inside the in-flight slot, so a
+// timeout (504) or hang-up cancels it (serve.reconstruct.cancelled) and
+// an abandoned reconstruction leaves nothing behind. An observation
+// longer than any execution's traced projection is a 400.
 //
 // The same handler also runs as a distributed worker (Config.Worker): it
 // then exposes POST /shard, which executes one core.ShardTask against the
