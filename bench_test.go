@@ -460,7 +460,7 @@ func BenchmarkRegressSuite(b *testing.B) {
 // superlinearly with flip-flop count while the application-level selector
 // depends only on the scenario's message count.
 func BenchmarkSigSeTScaling(b *testing.B) {
-	for _, ffs := range []int{64, 128, 256} {
+	for _, ffs := range []int{64, 128, 256, 512, 1024} {
 		ffs := ffs
 		b.Run(fmt.Sprintf("%d-ffs", ffs), func(b *testing.B) {
 			n, err := circuits.Generate(circuits.Params{FFs: ffs, ShiftFraction: 0.5}, rand.New(rand.NewSource(1)))

@@ -11,9 +11,11 @@
 //
 // The benchmark set defaults to the selector quartet the ratchet exists
 // for — the exhaustive scan, the Fig. 5 end-to-end pipeline, CELF, and
-// branch-and-bound — so a pruning or registry change that slows selection
-// shows up as a number, not a hunch. Like tracelint's driver, the tool
-// shells out to the go command itself (zero dependencies).
+// branch-and-bound — plus the gate-level SigSeT baseline on the USB design
+// and one restoration of its engine, so a pruning, registry, or
+// restoration change that slows selection shows up as a number, not a
+// hunch. Like tracelint, the tool shells out to the go command itself
+// (zero dependencies).
 package main
 
 import (
@@ -43,9 +45,10 @@ func main() {
 // errUsage signals a bad invocation: usage was already printed, exit 2.
 var errUsage = fmt.Errorf("usage")
 
-// defaultBench is the ratcheted benchmark set: the selector strategies plus
-// the end-to-end Fig. 5 pipeline they sit inside.
-const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectCELF$|BenchmarkSelectBranchBound$"
+// defaultBench is the ratcheted benchmark set: the selector strategies, the
+// end-to-end Fig. 5 pipeline they sit inside, and the gate-level SigSeT
+// baseline with one restoration of its engine.
+const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectCELF$|BenchmarkSelectBranchBound$|BenchmarkRestoreUSB$|BenchmarkSigSeTUSB$"
 
 // Result is one benchmark's measured cost — the JSON schema of both the
 // report and the committed baseline.

@@ -51,7 +51,7 @@ func Scaling(seed int64) ([]ScalingRow, error) {
 		})
 	}
 
-	for _, ffs := range []int{64, 128, 256} {
+	for _, ffs := range []int{64, 128, 256, 512, 1024} {
 		n, err := circuits.Generate(circuits.Params{FFs: ffs, ShiftFraction: 0.5}, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			return nil, err

@@ -90,8 +90,8 @@ func TestScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 3 app + 3 gate", len(rows))
+	if len(rows) != 8 {
+		t.Fatalf("rows = %d, want 3 app + 5 gate", len(rows))
 	}
 	var maxApp, minGate, firstGate, lastGate float64
 	for _, r := range rows {
@@ -115,7 +115,7 @@ func TestScaling(t *testing.T) {
 		t.Errorf("gate-level min %.4fs not clearly slower than app-level max %.4fs", minGate, maxApp)
 	}
 	if lastGate < firstGate*1.5 {
-		t.Errorf("SRR cost grew only %.1fx from 64 to 256 FFs; expected superlinear growth",
+		t.Errorf("SRR cost grew only %.1fx from 64 to 1024 FFs; expected superlinear growth",
 			lastGate/firstGate)
 	}
 }

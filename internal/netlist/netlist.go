@@ -80,8 +80,12 @@ type Netlist struct {
 	ffs    []int // DFF net ids, ascending
 	inputs []int // primary input net ids, ascending
 	order  []int // combinational evaluation order (non-FF, non-input nets)
-	module map[int]string
-	buses  map[string][]int
+	// Fanout index: the nets whose gates read net id are
+	// fanout[fanStart[id]:fanStart[id+1]].
+	fanout   []int
+	fanStart []int
+	module   map[int]string
+	buses    map[string][]int
 }
 
 // N returns the number of nets.
@@ -105,6 +109,11 @@ func (n *Netlist) FFs() []int { return n.ffs }
 // Inputs returns the primary input net ids. The slice must not be
 // modified.
 func (n *Netlist) Inputs() []int { return n.inputs }
+
+// Fanout returns the nets whose gates read net id (combinational gates and
+// flip-flop data pins), ascending; a gate that reads id on two pins is
+// listed twice. The slice must not be modified.
+func (n *Netlist) Fanout(id int) []int { return n.fanout[n.fanStart[id]:n.fanStart[id+1]] }
 
 // Module returns the module a net was declared in ("" when untagged).
 func (n *Netlist) Module(id int) string { return n.module[id] }
@@ -284,6 +293,22 @@ func (b *Builder) Build() (*Netlist, error) {
 		k := n.gates[v].Kind
 		if k != DFF && k != Input {
 			n.order = append(n.order, v)
+		}
+	}
+	n.fanStart = make([]int, n.N()+1)
+	for _, gate := range n.gates {
+		for _, u := range gate.Ins {
+			n.fanStart[u]++
+		}
+	}
+	for id := 1; id <= n.N(); id++ {
+		n.fanStart[id] += n.fanStart[id-1]
+	}
+	n.fanout = make([]int, n.fanStart[n.N()])
+	for v := n.N() - 1; v >= 0; v-- {
+		for _, u := range n.gates[v].Ins {
+			n.fanStart[u]--
+			n.fanout[n.fanStart[u]] = v
 		}
 	}
 	built := n

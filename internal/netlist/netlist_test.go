@@ -248,6 +248,56 @@ func TestDependencyGraphEdgeCount(t *testing.T) {
 	}
 }
 
+// Fanout is the transpose of the gates' input lists: every pin u of gate v
+// lists v under u, once per pin, in ascending order.
+func TestFanout(t *testing.T) {
+	n, ids := counterDesign(t)
+	one, _ := n.NetID("one")
+	t0, _ := n.NetID("t0")
+	t1, _ := n.NetID("t1")
+	for _, tc := range []struct {
+		net  int
+		want []int
+	}{
+		{one, []int{t0}},
+		{ids["q0"], []int{t0, t1, ids["both"]}},
+		{ids["q1"], []int{t1, ids["both"]}},
+		{t0, []int{ids["q0"]}},
+		{ids["both"], nil},
+	} {
+		got := n.Fanout(tc.net)
+		if len(got) != len(tc.want) {
+			t.Fatalf("Fanout(%s) = %v, want %v", n.Name(tc.net), got, tc.want)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("Fanout(%s) = %v, want %v", n.Name(tc.net), got, tc.want)
+			}
+		}
+	}
+	f := func(seed int64) bool {
+		n, _ := buildRandomish(seed)
+		pins := 0
+		for id := 0; id < n.N(); id++ {
+			for _, r := range n.Fanout(id) {
+				ins := n.Gate(r).Ins
+				found := false
+				for _, u := range ins {
+					found = found || u == id
+				}
+				if !found {
+					return false
+				}
+				pins++
+			}
+		}
+		return n.DependencyGraph().M() == pins
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+		t.Error(err)
+	}
+}
+
 func buildRandomish(seed int64) (*Netlist, error) {
 	b := NewBuilder()
 	in := b.Input("in")

@@ -3,6 +3,7 @@ package restore
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -35,14 +36,39 @@ func TestTVString(t *testing.T) {
 }
 
 func TestRestoreErrors(t *testing.T) {
-	n, _ := shiftChain(t, 4)
+	n, ffs := shiftChain(t, 4)
 	tr := netlist.Record(n, 8, 1)
-	if _, err := Restore(tr, nil); err == nil {
-		t.Error("no traced FFs should fail")
-	}
 	in, _ := n.NetID("in")
-	if _, err := Restore(tr, []int{in}); err == nil {
-		t.Error("tracing a non-FF should fail")
+	for _, tc := range []struct {
+		name   string
+		trace  *netlist.Trace
+		traced []int
+		want   string
+	}{
+		{"none traced", tr, nil, "no traced flip-flops"},
+		{"zero cycles", netlist.Record(n, 0, 1), ffs, "no traced flip-flops"},
+		{"non-FF", tr, []int{ffs[0], in}, `traced net "in" is not a flip-flop`},
+		{"out of range", tr, []int{n.N()}, "out of range"},
+	} {
+		if _, err := Restore(tc.trace, tc.traced); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Restore err = %v, want %q", tc.name, err, tc.want)
+		}
+		if _, err := KnownFFStates(tc.trace, tc.traced, Options{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: KnownFFStates err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// A flip-flop listed twice is traced once.
+func TestDuplicateTracedCountsOnce(t *testing.T) {
+	n, ffs := shiftChain(t, 4)
+	tr := netlist.Record(n, 8, 1)
+	res, err := Restore(tr, []int{ffs[1], ffs[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TracedStates != 8 {
+		t.Errorf("TracedStates = %d, want 8", res.TracedStates)
 	}
 }
 

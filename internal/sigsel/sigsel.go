@@ -54,14 +54,6 @@ func SigSeT(n *netlist.Netlist, cfg SigSeTConfig) ([]int, error) {
 	}
 	trace := netlist.Record(n, cfg.Cycles, cfg.Seed)
 
-	score := func(sel []int) (int, error) {
-		res, err := restore.RestoreWith(trace, sel, cfg.Restore)
-		if err != nil {
-			return 0, err
-		}
-		return res.KnownFFStates, nil
-	}
-
 	// Initial bounds: standalone restorability of every flip-flop.
 	type cand struct {
 		id    int
@@ -69,19 +61,19 @@ func SigSeT(n *netlist.Netlist, cfg SigSeTConfig) ([]int, error) {
 	}
 	cands := make([]cand, 0, len(ffs))
 	for _, ff := range ffs {
-		s, err := score([]int{ff})
+		s, err := restore.KnownFFStates(trace, []int{ff}, cfg.Restore)
 		if err != nil {
 			return nil, err
 		}
 		cands = append(cands, cand{id: ff, bound: s})
 	}
-	byBound := func(i, j int) bool {
-		if cands[i].bound != cands[j].bound {
-			return cands[i].bound > cands[j].bound
+	before := func(a, b cand) bool {
+		if a.bound != b.bound {
+			return a.bound > b.bound
 		}
-		return cands[i].id < cands[j].id
+		return a.id < b.id
 	}
-	sort.SliceStable(cands, byBound)
+	sort.Slice(cands, func(i, j int) bool { return before(cands[i], cands[j]) })
 
 	var selected []int
 	current := 0
@@ -92,7 +84,7 @@ func SigSeT(n *netlist.Netlist, cfg SigSeTConfig) ([]int, error) {
 	for len(selected) < budget {
 		// Lazy greedy: refresh the head's marginal; if it still beats the
 		// runner-up's (stale, optimistic) bound, take it.
-		fresh, err := score(append(append([]int(nil), selected...), cands[0].id))
+		fresh, err := restore.KnownFFStates(trace, append(append([]int(nil), selected...), cands[0].id), cfg.Restore)
 		if err != nil {
 			return nil, err
 		}
@@ -103,7 +95,11 @@ func SigSeT(n *netlist.Netlist, cfg SigSeTConfig) ([]int, error) {
 			cands = cands[1:]
 			continue
 		}
-		sort.SliceStable(cands, byBound)
+		// Only the head's bound changed: move it down to its place.
+		head := cands[0]
+		i := 1 + sort.Search(len(cands)-1, func(j int) bool { return !before(cands[1+j], head) })
+		copy(cands, cands[1:i])
+		cands[i-1] = head
 	}
 	return selected, nil
 }
