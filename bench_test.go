@@ -19,6 +19,7 @@ import (
 	"tracescale/internal/netlist"
 	"tracescale/internal/opensparc"
 	"tracescale/internal/pipeline"
+	"tracescale/internal/reconstruct"
 	"tracescale/internal/regress"
 	"tracescale/internal/restore"
 	"tracescale/internal/sigsel"
@@ -202,6 +203,38 @@ func BenchmarkSelectBranchBound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Select(e, core.Config{BufferWidth: 32, Method: core.BranchBound}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSelectReconstruct(b *testing.B) {
+	e := scenario3Evaluator(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Select(e, core.Config{BufferWidth: 32, Method: core.Reconstruct}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPairCount is one ExpectedAmbiguity-sized pair count on the
+// scenario 3 product: the traced set is the default (mi) selection at the
+// campaign's 32-bit buffer, the set t2campaign scores most.
+func BenchmarkPairCount(b *testing.B) {
+	e := scenario3Evaluator(b)
+	res, err := core.Select(e, core.Config{BufferWidth: 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	traced := make(map[string]bool)
+	for _, n := range res.TracedNames() {
+		traced[n] = true
+	}
+	p := e.Product()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := reconstruct.PairCount(p, traced); err != nil {
 			b.Fatal(err)
 		}
 	}

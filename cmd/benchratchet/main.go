@@ -45,10 +45,11 @@ func main() {
 // errUsage signals a bad invocation: usage was already printed, exit 2.
 var errUsage = fmt.Errorf("usage")
 
-// defaultBench is the ratcheted benchmark set: the selector strategies, the
+// defaultBench is the ratcheted benchmark set: the selector strategies
+// (with the reconstruct strategy and one pair count of its objective), the
 // end-to-end Fig. 5 pipeline they sit inside, and the gate-level SigSeT
 // baseline with one restoration of its engine.
-const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectCELF$|BenchmarkSelectBranchBound$|BenchmarkRestoreUSB$|BenchmarkSigSeTUSB$"
+const defaultBench = "BenchmarkSelectExhaustive$|BenchmarkFig5$|BenchmarkSelectCELF$|BenchmarkSelectBranchBound$|BenchmarkRestoreUSB$|BenchmarkSigSeTUSB$|BenchmarkPairCount$|BenchmarkSelectReconstruct$"
 
 // Result is one benchmark's measured cost — the JSON schema of both the
 // report and the committed baseline.

@@ -19,13 +19,13 @@
 //
 // # Isolation
 //
-// Each grid point executes in its own goroutine: a panicking run is
-// recovered and recorded as Outcome "panic" instead of taking down the
-// campaign, and a run that exceeds the per-run wall-clock Timeout is
-// abandoned and retried up to Retries times before being recorded as
+// A panicking run is recovered and recorded as Outcome "panic" instead of
+// taking down the campaign. With a per-run wall-clock Timeout, each
+// attempt executes in its own goroutine, and one that exceeds the Timeout
+// is abandoned and retried up to Retries times before being recorded as
 // Outcome "timeout". With no Timeout configured (the default, and the mode
-// every determinism guarantee is stated for), no wall clock influences any
-// recorded result.
+// every determinism guarantee is stated for), attempts run on the worker
+// goroutine itself and no wall clock influences any recorded result.
 package campaign
 
 import (
@@ -36,6 +36,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tracescale/internal/debugger"
@@ -281,29 +282,32 @@ func Run(spec Spec) (*Report, error) {
 	reg.Add("campaign.grid_points", int64(len(points)))
 
 	records := make([]RunRecord, len(points))
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
 	workers := s.Workers
 	if workers > len(points) {
 		workers = len(points)
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		// pprof labels attribute CPU samples to the campaign pool, so
-		// profiles show which workers burn the time.
-		go pprof.Do(context.Background(),
+	// Workers claim grid points off a shared counter; the calling
+	// goroutine is worker 0. pprof labels attribute CPU samples to the
+	// campaign pool, so profiles show which workers burn the time.
+	var next atomic.Int64
+	work := func(w int) {
+		pprof.Do(context.Background(),
 			pprof.Labels("tracescale.pool", "campaign", "tracescale.worker", strconv.Itoa(w)),
 			func(context.Context) {
-				defer wg.Done()
-				for i := range idxCh {
+				for i := int(next.Add(1) - 1); i < len(points); i = int(next.Add(1) - 1) {
 					records[i] = s.runPoint(i, points[i])
 				}
 			})
 	}
-	for i := range points {
-		idxCh <- i
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
 	}
-	close(idxCh)
+	work(0)
 	wg.Wait()
 
 	rep := &Report{
@@ -383,28 +387,17 @@ func (s *Spec) runPoint(idx int, pt point) RunRecord {
 // (small grids) to ~seconds (deep hang scans).
 var runWallBounds = []int64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}
 
-// attempt executes one run in a child goroutine, isolating panics and
-// bounding wall time. ok is false when the attempt timed out; the
-// abandoned goroutine finishes on its own (the simulator always terminates
-// at its cycle bound) and its result is discarded.
+// attempt executes one run, isolating panics. With a Timeout it runs in a
+// child goroutine to bound wall time: ok is false when the attempt timed
+// out; the abandoned goroutine finishes on its own (the simulator always
+// terminates at its cycle bound) and its result is discarded. Without
+// one there is nothing to abandon, so it runs inline.
 func (s *Spec) attempt(idx int, pt point) (RunRecord, bool) {
-	scn := &s.Scenarios[pt.si]
-	bug := scn.Bugs[pt.bi]
-	ch := make(chan RunRecord, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				rec := s.baseRecord(idx, pt)
-				rec.Outcome = OutcomePanic
-				rec.Detail = fmt.Sprint(p)
-				ch <- rec
-			}
-		}()
-		ch <- s.execute(idx, pt, scn, bug)
-	}()
 	if s.Timeout <= 0 {
-		return <-ch, true
+		return s.guarded(idx, pt), true
 	}
+	ch := make(chan RunRecord, 1)
+	go func() { ch <- s.guarded(idx, pt) }()
 	timer := time.NewTimer(s.Timeout)
 	defer timer.Stop()
 	select {
@@ -413,6 +406,20 @@ func (s *Spec) attempt(idx int, pt point) (RunRecord, bool) {
 	case <-timer.C:
 		return s.baseRecord(idx, pt), false
 	}
+}
+
+// guarded executes one run, recording a panic as OutcomePanic.
+func (s *Spec) guarded(idx int, pt point) (rec RunRecord) {
+	scn := &s.Scenarios[pt.si]
+	bug := scn.Bugs[pt.bi]
+	defer func() {
+		if p := recover(); p != nil {
+			rec = s.baseRecord(idx, pt)
+			rec.Outcome = OutcomePanic
+			rec.Detail = fmt.Sprint(p)
+		}
+	}()
+	return s.execute(idx, pt, scn, bug)
 }
 
 // baseRecord fills the identity fields every outcome carries.

@@ -247,24 +247,28 @@ func TestDerivedSeedIndependence(t *testing.T) {
 }
 
 // A run that panics (here: a nil flow dereferenced inside soc.Run) must be
-// isolated into an OutcomePanic record, not take down the campaign.
+// isolated into an OutcomePanic record, not take down the campaign —
+// whether it runs inline (no Timeout) or in a timed child goroutine.
 func TestCampaignPanicIsolation(t *testing.T) {
-	spec := testSpec(t)
-	spec.Reps = 1
-	spec.Scenarios[0].Launches = []soc.Launch{{Flow: nil, Index: 1}}
-	rep, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range rep.Runs {
-		if r.Outcome != OutcomePanic {
-			t.Errorf("run %d outcome = %q, want panic", i, r.Outcome)
+	for _, timeout := range []time.Duration{0, time.Minute} {
+		spec := testSpec(t)
+		spec.Reps = 1
+		spec.Timeout = timeout
+		spec.Scenarios[0].Launches = []soc.Launch{{Flow: nil, Index: 1}}
+		rep, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Detail == "" {
-			t.Errorf("run %d: panic record carries no detail", i)
-		}
-		if len(r.Scores) != 0 {
-			t.Errorf("run %d: panicked run carries scores", i)
+		for i, r := range rep.Runs {
+			if r.Outcome != OutcomePanic {
+				t.Errorf("timeout %v: run %d outcome = %q, want panic", timeout, i, r.Outcome)
+			}
+			if r.Detail == "" {
+				t.Errorf("timeout %v: run %d: panic record carries no detail", timeout, i)
+			}
+			if len(r.Scores) != 0 {
+				t.Errorf("timeout %v: run %d: panicked run carries scores", timeout, i)
+			}
 		}
 	}
 }

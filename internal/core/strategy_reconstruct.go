@@ -30,7 +30,9 @@ func (reconstructStrategy) Select(ctx context.Context, e *Evaluator, cfg Config)
 // bit: each round scores every unchosen fitting message by the reduction
 // in ordered-pair collision count (reconstruct.PairCount — adding a
 // message refines the projection partition, so the count never rises) per
-// trace bit, as an exact big.Rat, and takes the largest. Rational
+// trace bit, as an exact big.Rat, and takes the largest. One
+// reconstruct.PairCounter serves the whole selection, so every candidate
+// reuses its tables, and ctx is polled inside each count. Rational
 // comparisons leave no epsilon; exact density ties fall back to
 // information gain density (scoreEps tolerance) and then to universe
 // order, keeping the selection deterministic and aligned with the MI
@@ -41,7 +43,11 @@ func selectReconstruct(ctx context.Context, e *Evaluator, budget int) (Candidate
 	n := len(e.universe)
 	chosen := make([]bool, n)
 	traced := make(map[string]bool, n)
-	current, err := reconstruct.PairCount(e.p, traced)
+	counter, err := reconstruct.NewPairCounter(e.p)
+	if err != nil {
+		return Candidate{}, 0, err
+	}
+	current, err := counter.Count(ctx, traced)
 	if err != nil {
 		return Candidate{}, 0, err
 	}
@@ -57,11 +63,8 @@ func selectReconstruct(ctx context.Context, e *Evaluator, budget int) (Candidate
 			if chosen[i] || e.widthOf[i] > left {
 				continue
 			}
-			if err := ctx.Err(); err != nil {
-				return Candidate{}, evals, err
-			}
 			traced[e.universe[i].Name] = true
-			pairs, err := reconstruct.PairCount(e.p, traced)
+			pairs, err := counter.Count(ctx, traced)
 			delete(traced, e.universe[i].Name)
 			if err != nil {
 				return Candidate{}, evals, err

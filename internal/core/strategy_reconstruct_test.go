@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"tracescale/internal/interleave"
+	"tracescale/internal/obs"
+	"tracescale/internal/opensparc"
 	"tracescale/internal/reconstruct"
 	"tracescale/internal/synth"
 )
@@ -126,5 +129,49 @@ func TestReconstructNothingFits(t *testing.T) {
 	_, err := Select(e, Config{BufferWidth: 1, Method: Reconstruct})
 	if err == nil || !strings.Contains(err.Error(), "no message fits") {
 		t.Errorf("a budget nothing fits should report errNothingFits, got %v", err)
+	}
+}
+
+// errCountingCtx counts Err calls and never reports cancellation.
+type errCountingCtx struct {
+	context.Context
+	calls int
+}
+
+func (c *errCountingCtx) Err() error {
+	c.calls++
+	return nil
+}
+
+// TestReconstructPollsContextInsideCounts: the strategy hands its context
+// to the pair DP, which polls it while counting — not only once per
+// candidate, as a strategy that checks between counts would. On T2
+// scenario 3 a full selection polls well past one check per count.
+func TestReconstructPollsContextInsideCounts(t *testing.T) {
+	s, err := opensparc.ScenarioByID(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	p, err := interleave.NewObserved(s.Instances(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEvaluator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &errCountingCtx{Context: context.Background()}
+	if _, err := SelectContext(ctx, e, Config{BufferWidth: 32, Method: Reconstruct}); err != nil {
+		t.Fatal(err)
+	}
+	evals := int(reg.Counter("core.select.ambiguity_evals").Value())
+	if evals == 0 {
+		t.Fatal("selection scored no candidates")
+	}
+	// One entry check per count (the blind count and each candidate);
+	// everything beyond that is the DP polling mid-count.
+	if counts := evals + 1; ctx.calls <= counts {
+		t.Errorf("context checked %d times over %d counts: the pair DP never polled it", ctx.calls, counts)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"tracescale/internal/flow"
 	"tracescale/internal/interleave"
@@ -422,24 +423,26 @@ func runOracle(slices []tagSlice, groups [][]int, frequent []string, id map[stri
 
 	verdicts := make([]verdict, len(slices))
 	errs := make([]error, len(slices))
-	idx := make(chan int)
-	var wg sync.WaitGroup
 	if workers > len(slices) {
 		workers = len(slices)
 	}
-	for w := 0; w < workers; w++ {
+	// Workers claim slices off a shared counter; the calling goroutine is
+	// one of them.
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1) - 1); i < len(slices); i = int(next.Add(1) - 1) {
+			verdicts[i], errs[i] = checkSlice(slices[i], groups, flows, gid, grank, id)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				verdicts[i], errs[i] = checkSlice(slices[i], groups, flows, gid, grank, id)
-			}
+			work()
 		}()
 	}
-	for i := range slices {
-		idx <- i
-	}
-	close(idx)
+	work()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

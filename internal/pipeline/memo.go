@@ -116,10 +116,12 @@ func (m *memo[K, V]) addLocked(key K, val V) (V, bool) {
 }
 
 // do returns the stored value for key, or computes it. Concurrent callers
-// with the same key share one computation. It runs on its own goroutine
-// under a context of its own, so a caller whose ctx ends returns promptly
-// with ctx's error while the remaining waiters keep the computation
-// alive; the last waiter to leave cancels it.
+// with the same key share one computation. It runs on a goroutine of its
+// own under a context of its own, so a caller whose ctx ends returns
+// promptly with ctx's error while the remaining waiters keep the
+// computation alive; the last waiter to leave cancels it. A caller whose
+// ctx can never end (Done is nil) could never leave, so the computation
+// runs on that caller's goroutine instead.
 func (m *memo[K, V]) do(ctx context.Context, key K, compute func(context.Context) (V, error)) (V, error) {
 	m.mu.Lock()
 	if val, ok := m.lookupLocked(key); ok {
@@ -144,7 +146,7 @@ func (m *memo[K, V]) do(ctx context.Context, key K, compute func(context.Context
 	m.misses++
 	m.mu.Unlock()
 	m.c.misses.Inc()
-	go func() {
+	fly := func() {
 		val, err := compute(fctx)
 		m.mu.Lock()
 		if err == nil {
@@ -157,7 +159,12 @@ func (m *memo[K, V]) do(ctx context.Context, key K, compute func(context.Context
 		m.mu.Unlock()
 		cancel()
 		close(f.done)
-	}()
+	}
+	if ctx.Done() == nil {
+		fly()
+		return f.val, f.err
+	}
+	go fly()
 	return m.wait(ctx, key, f)
 }
 

@@ -12,6 +12,7 @@ import (
 	"tracescale/internal/core"
 	"tracescale/internal/flow"
 	"tracescale/internal/obs"
+	"tracescale/internal/opensparc"
 	"tracescale/internal/reconstruct"
 	"tracescale/internal/synth"
 )
@@ -394,5 +395,46 @@ func TestSessionMemosStayBounded(t *testing.T) {
 	selectAt(2) // the least recently used width: evicted, so recomputed
 	if got := reg.Snapshot()["pipeline.results.misses"]; got != misses+1 {
 		t.Errorf("width 2 answered from the memo after eviction (misses %d -> %d)", misses, got)
+	}
+}
+
+// A reconstruct-method selection under an expired deadline returns the
+// deadline error promptly, and its flight retires without running the
+// pair DP to the end: the strategy's counter polls the flight's context.
+func TestReconstructSelectExpiredDeadline(t *testing.T) {
+	scn, err := opensparc.ScenarioByID(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(scn.Instances())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	start := time.Now()
+	_, err = s.SelectContext(ctx, core.Config{BufferWidth: 32, Method: core.Reconstruct})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	for {
+		s.results.mu.Lock()
+		n := len(s.results.flights)
+		s.results.mu.Unlock()
+		if n == 0 {
+			break
+		}
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("%d flights still registered 5 s after an expired deadline", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Nothing was memoized: a caller with time left gets a full selection.
+	res, err := s.Select(core.Config{BufferWidth: 32, Method: core.Reconstruct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Selected) == 0 {
+		t.Error("selection after the expired one is empty")
 	}
 }

@@ -19,7 +19,10 @@
 // a debugger actually fights: selection that minimizes expected ambiguity
 // (see PairCount) is the alternative objective to the paper's mutual
 // information, surfaced as the "reconstruct" strategy in the core
-// registry.
+// registry. The expectation is exact: PairCount's DP over state pairs
+// computes in uint64 and reruns on big.Int only when a count passes 2^64.
+// A PairCounter keeps that DP's tables for one product, so a selector
+// scoring many traced sets reuses them, and its Count polls a context.
 package reconstruct
 
 import (

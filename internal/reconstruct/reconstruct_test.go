@@ -347,25 +347,6 @@ func TestPairCountMatchesDefinition(t *testing.T) {
 	}
 }
 
-func TestPairCountStateLimit(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	// 6 flows x 5 messages each: a chain product with 6^6 = 46656 states.
-	instances, err := synth.Universe(30, 6, synth.Params{}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := interleave.New(instances)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumStates() <= MaxAmbiguityStates {
-		t.Fatalf("test universe too small (%d states) to trip the limit", p.NumStates())
-	}
-	if _, err := PairCount(p, map[string]bool{}); err == nil {
-		t.Error("PairCount should refuse products beyond MaxAmbiguityStates")
-	}
-}
-
 // TestObservationLongerThanAnyExecutionRejected: two toy instances carry
 // at most four ReqE/GntE messages on any execution, so a fifth observed
 // message is rejected before any counting, and four are accepted.
